@@ -86,7 +86,7 @@ def _boot_to_first_200(path, loader, payload):
     started = time.perf_counter()
     engine = loader(path)
     system = RealTimeTimelineSystem(engine=engine, cache=engine.cache)
-    config = ServeConfig(port=0, batch_window_ms=1.0)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as server:
         conn = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=120
@@ -205,10 +205,7 @@ def test_cold_query_pruning(benchmark, capsys, json_out):
 
     pruned = build_system(**SERVING_CONFIG)
     baseline = build_system(**BASELINE_CONFIG)
-    serve_config = ServeConfig(
-        port=0, workers=4, batch_window_ms=2.0,
-        cache_size=1024, max_inflight=64,
-    )
+    serve_config = ServeConfig(port=0, cache_size=1024, max_inflight=64)
 
     def load_matrix():
         results = {}

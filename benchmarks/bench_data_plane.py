@@ -13,7 +13,8 @@ data-plane section of docs/architecture.md):
    faster.
 2. **Coalescing.** 32 identical concurrent cold ``/v1/timeline``
    requests against one server must produce exactly one computation
-   (``serve.batched_queries == 1``) -- the thundering herd collapses
+   (counted by a wrapper around the system's per-query generate call,
+   ``RealTimeTimelineSystem._serve_query``) -- the thundering herd collapses
    into a leader plus followers/cache hits, every response 200 with
    identical result bytes.
 3. **Hedging.** One slice, two replicas, one artificially slow
@@ -70,7 +71,7 @@ def _replica_server(slice_path, delay_seconds=0.0):
         RealTimeTimelineSystem(
             engine=engine, wilson=wilson, cache=wilson.cache
         ),
-        ServeConfig(port=0, batch_window_ms=1.0),
+        ServeConfig(port=0),
     )
     server._test_delay_seconds = delay_seconds
     return server
@@ -203,7 +204,7 @@ def _router(topology, groups, **overrides):
 def _run_scatter_phase(system, instance, tmp_path):
     """(fast p50, slow p50, fast binary-frame count); bytes asserted."""
     paths = _query_mix(system.engine.index, REQUESTS)
-    single_config = ServeConfig(port=0, batch_window_ms=1.0, workers=2)
+    single_config = ServeConfig(port=0)
     with BackgroundServer(
         TimelineServer(system, single_config)
     ) as single:
@@ -253,7 +254,11 @@ def _run_scatter_phase(system, instance, tmp_path):
 
 
 def _run_coalesce_phase(system, instance):
-    """(computations, coalesced count); herd responses asserted."""
+    """(computations, coalesced count); herd responses asserted.
+
+    Computations are counted by wrapping the system's per-query
+    generate call, which every timeline cache miss runs exactly once.
+    """
     start, end = instance.corpus.window
     payload = json.dumps(
         {
@@ -264,47 +269,57 @@ def _run_coalesce_phase(system, instance):
             "num_sentences": 1,
         }
     ).encode()
-    config = ServeConfig(port=0, batch_window_ms=1.0, workers=2)
-    with BackgroundServer(TimelineServer(system, config)) as server:
-        outcomes = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(HERD)
+    generate = system._serve_query
+    computed = []
 
-        def fire():
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.port, timeout=120
-            )
-            try:
-                barrier.wait()
-                conn.request(
-                    "POST",
-                    "/v1/timeline",
-                    body=payload,
-                    headers={"Content-Type": "application/json"},
+    def counted(query):
+        computed.append(query)
+        return generate(query)
+
+    config = ServeConfig(port=0)
+    system._serve_query = counted
+    try:
+        with BackgroundServer(TimelineServer(system, config)) as server:
+            outcomes = []
+            lock = threading.Lock()
+            barrier = threading.Barrier(HERD)
+
+            def fire():
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=120
                 )
-                response = conn.getresponse()
-                raw = response.read()
-                with lock:
-                    outcomes.append((response.status, raw))
-            finally:
-                conn.close()
+                try:
+                    barrier.wait()
+                    conn.request(
+                        "POST",
+                        "/v1/timeline",
+                        body=payload,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    raw = response.read()
+                    with lock:
+                        outcomes.append((response.status, raw))
+                finally:
+                    conn.close()
 
-        threads = [threading.Thread(target=fire) for _ in range(HERD)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            threads = [threading.Thread(target=fire) for _ in range(HERD)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
 
-        assert [status for status, _ in outcomes] == [200] * HERD
-        results = {
-            json.dumps(json.loads(raw)["result"], sort_keys=True)
-            for _, raw in outcomes
-        }
-        assert len(results) == 1, "herd saw diverging results"
-        counters = server.metrics.snapshot()["counters"]
-    computations = counters.get("serve.batched_queries", 0)
+            assert [status for status, _ in outcomes] == [200] * HERD
+            results = {
+                json.dumps(json.loads(raw)["result"], sort_keys=True)
+                for _, raw in outcomes
+            }
+            assert len(results) == 1, "herd saw diverging results"
+            counters = server.metrics.snapshot()["counters"]
+    finally:
+        del system._serve_query
     coalesced = counters.get("serve.coalesced_requests", 0)
-    return computations, coalesced
+    return len(computed), coalesced
 
 
 def _run_hedge_phase(system, tmp_path):

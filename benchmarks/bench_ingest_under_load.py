@@ -238,10 +238,7 @@ def test_ingest_under_load(benchmark, capsys, json_out):
     plane.start()
     server = TimelineServer(
         system,
-        ServeConfig(
-            port=0, workers=2, batch_window_ms=2.0,
-            cache_size=1024, max_inflight=64,
-        ),
+        ServeConfig(port=0, cache_size=1024, max_inflight=64),
         metrics=metrics,
         ingest=plane,
     )

@@ -88,7 +88,7 @@ def _boot_to_healthz(path, mode):
     started = time.perf_counter()
     engine = SearchEngine.load_snapshot(path, mode=mode)
     system = RealTimeTimelineSystem(engine=engine, cache=engine.cache)
-    config = ServeConfig(port=0, batch_window_ms=1.0)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as server:
         conn = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=60

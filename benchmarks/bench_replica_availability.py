@@ -173,7 +173,7 @@ def test_replica_availability_under_kills(
 
     # Single-index reference bytes, per path, for the in-loop identity
     # checks.
-    single_config = ServeConfig(port=0, batch_window_ms=1.0, workers=2)
+    single_config = ServeConfig(port=0)
     with BackgroundServer(
         TimelineServer(system, single_config)
     ) as single:
@@ -188,7 +188,7 @@ def test_replica_availability_under_kills(
             system.engine.index, tmp_path / "slices", NUM_SHARDS
         )
         with ShardWorkerPool(
-            topology, batch_window_ms=1.0, replicas=REPLICAS
+            topology, replicas=REPLICAS
         ) as pool:
             router = TimelineRouter(
                 topology,

@@ -138,7 +138,7 @@ def test_scatter_gather_scaling(benchmark, capsys, json_out, tmp_path):
     probe = paths[0]
 
     # Single-index reference bytes for the correctness gate.
-    single_config = ServeConfig(port=0, batch_window_ms=1.0, workers=2)
+    single_config = ServeConfig(port=0)
     with BackgroundServer(
         TimelineServer(system, single_config)
     ) as single:
@@ -153,7 +153,7 @@ def test_scatter_gather_scaling(benchmark, capsys, json_out, tmp_path):
                 tmp_path / f"shards-{num_shards}",
                 num_shards,
             )
-            with ShardWorkerPool(topology, batch_window_ms=1.0) as pool:
+            with ShardWorkerPool(topology) as pool:
                 router = TimelineRouter(
                     topology,
                     pool.endpoints,

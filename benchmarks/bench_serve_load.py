@@ -135,10 +135,7 @@ def _percentile(sorted_values, fraction):
 
 def test_serve_load(benchmark, capsys, json_out):
     system, instance = _build_system()
-    config = ServeConfig(
-        port=0, workers=4, batch_window_ms=2.0,
-        cache_size=1024, max_inflight=64,
-    )
+    config = ServeConfig(port=0, cache_size=1024, max_inflight=64)
 
     def load_matrix():
         results = {}
@@ -189,10 +186,7 @@ def test_serve_load(benchmark, capsys, json_out):
         )
 
     # -- saturation: max_inflight=1 under 16 clients must shed, not fail.
-    shed_config = ServeConfig(
-        port=0, workers=2, batch_window_ms=1.0,
-        cache_size=4, max_inflight=1,
-    )
+    shed_config = ServeConfig(port=0, cache_size=4, max_inflight=1)
     with BackgroundServer(TimelineServer(system, shed_config)) as server:
         payloads = _payloads(instance, 48, distinct=True)
         _, shed_statuses, _ = _closed_loop(server.port, payloads, 16)
@@ -261,7 +255,7 @@ def test_serve_load(benchmark, capsys, json_out):
         start=start, end=end, num_dates=5, num_sentences=1,
     )
     with BackgroundServer(
-        TimelineServer(system, ServeConfig(port=0, batch_window_ms=1.0))
+        TimelineServer(system, ServeConfig(port=0))
     ) as server:
         conn = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=120

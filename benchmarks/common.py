@@ -9,8 +9,8 @@ terminal (bypassing capture) and archives it under
 Scales are configurable through environment variables so the same suite
 can run as a quick smoke (default) or a longer, closer-to-paper sweep:
 
-* ``WILSON_BENCH_T17_SCALE``  (default 0.05)
-* ``WILSON_BENCH_CRISIS_SCALE`` (default 0.01)
+* ``WILSON_BENCH_T17_SCALE``  (default 0.1)
+* ``WILSON_BENCH_CRISIS_SCALE`` (default 0.02)
 """
 
 from __future__ import annotations

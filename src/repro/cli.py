@@ -10,8 +10,8 @@ Subcommands:
   time-window query with the real-time system;
 * ``serve`` -- boot the asyncio HTTP timeline service on a corpus (or a
   synthetic fallback): ``POST /v1/timeline``, ``GET /v1/search``,
-  ``GET /healthz``, ``GET /metrics``; admission control, micro-batching
-  and a versioned result cache per ``docs/serving.md``; with
+  ``GET /healthz``, ``GET /metrics``; admission control, single-flight
+  coalescing and a versioned result cache per ``docs/serving.md``; with
   ``--snapshot PATH`` the index boots from a binary snapshot in O(read)
   (a corrupt snapshot logs a warning and falls back to re-indexing);
   with ``--shards N`` the corpus is partitioned into N date-range
@@ -413,11 +413,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         cache_size=args.cache_size,
         cache_ttl_seconds=args.cache_ttl,
         max_inflight=args.max_inflight,
-        batch_window_ms=args.batch_window_ms,
     )
     plane = None
     if getattr(args, "ingest", False):
@@ -569,11 +567,7 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         flush=True,
     )
     _print_shard_layout(topology)
-    pool = ShardWorkerPool(
-        topology,
-        batch_window_ms=args.batch_window_ms,
-        replicas=args.replicas,
-    )
+    pool = ShardWorkerPool(topology, replicas=args.replicas)
     try:
         for worker in pool.start():
             # One parseable line per worker: the smoke tests and the CI
@@ -1013,10 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free port (default %(default)s)",
     )
     server.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="worker threads per micro-batch sweep (default %(default)s)",
-    )
-    server.add_argument(
         "--cache-size", type=int, default=256, metavar="N",
         help="result-cache capacity in entries (default %(default)s)",
     )
@@ -1028,10 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight", type=int, default=32, metavar="N",
         help="admission limit; excess requests are shed with 429 "
              "(default %(default)s)",
-    )
-    server.add_argument(
-        "--batch-window-ms", type=float, default=10.0, metavar="MS",
-        help="micro-batch collection window (default %(default)s)",
     )
     server.add_argument(
         "--scale", type=float, default=0.05,

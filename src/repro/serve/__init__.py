@@ -8,12 +8,16 @@ service needs under concurrency (docs/serving.md):
 * **admission control** -- a bounded in-flight limit; excess load is shed
   with fast ``429`` responses instead of queue collapse
   (:mod:`repro.serve.admission`);
-* **micro-batching** -- concurrent requests within a small window run as
-  one fault-isolated sharded sweep, so a poisoned query degrades only
-  its own response (:mod:`repro.serve.batching`);
+* **single-flight coalescing** -- identical concurrent cache misses
+  share one computation, and a query whose generation raises degrades
+  only its own response (:mod:`repro.serve.flight`);
 * **versioned result caching** -- an LRU+TTL cache keyed on the
   normalised query *and* the index's monotonic ``index_version``, so
   incremental ingestion invalidates exactly (:mod:`repro.serve.cache`).
+
+Both fronts -- the single-index :class:`~repro.serve.app.TimelineServer`
+and the scatter-gather router -- run the same ``/v1/timeline`` request
+loop, defined once on :class:`~repro.serve.app.HttpServerBase`.
 
 Beyond the single-index server, the tier scales out horizontally: a
 corpus partitions into date-range snapshot slices
@@ -63,7 +67,6 @@ from repro.serve.app import (
     parse_timeline_payload,
     run_server,
 )
-from repro.serve.batching import MicroBatcher
 from repro.serve.flight import Flight, FlightTable
 from repro.serve.frames import (
     RPC_CONTENT_TYPE,
@@ -138,7 +141,6 @@ __all__ = [
     "InflightTracker",
     "MergeResult",
     "MergedHit",
-    "MicroBatcher",
     "POOL_COUNTERS",
     "POOL_GAUGES",
     "POOL_METRIC_NAMES",

@@ -3,8 +3,8 @@
 A timeline request is orders of magnitude heavier than an HTTP accept,
 so an unbounded service melts under a burst long before the OS notices.
 :class:`AdmissionController` enforces one invariant -- at most
-``max_inflight`` timeline requests admitted (queued in the micro-batcher
-or executing) at any instant -- and turns everything beyond it into an
+``max_inflight`` timeline requests admitted (executing) at any
+instant -- and turns everything beyond it into an
 immediate, cheap ``429 Too Many Requests`` with a ``Retry-After`` hint,
 which is the documented load-shedding contract (docs/serving.md):
 saturation degrades into fast rejections, never into 5xx errors or

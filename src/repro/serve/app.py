@@ -21,11 +21,11 @@ routes --
 
 Request flow for ``/v1/timeline``: cache lookup (key =
 normalised query + ``index_version``, so incremental ingestion
-invalidates exactly) -> admission control (bounded in-flight; excess
-load is shed with ``429`` + ``Retry-After``) -> micro-batching (requests
-arriving within one window run as a single fault-isolated
-:func:`repro.runtime.run_sharded` sweep on the thread backend; a
-poisoned query degrades its own response only).
+invalidates exactly) -> single-flight (identical concurrent misses
+share one computation) -> admission control (bounded in-flight; excess
+load is shed with ``429`` + ``Retry-After``) -> one generate call in
+the event loop's default executor (a query whose generation raises
+degrades its own response only).
 
 Everything response-shaped goes through :func:`canonical_json`, so a
 served timeline is byte-identical to the direct library call's
@@ -34,8 +34,9 @@ serialisation -- the equivalence the load benchmark and
 ``docs/serving.md``.
 
 The raw HTTP/1.1 plumbing (request parsing, keep-alive, lifecycle,
-graceful drain) lives in :class:`HttpServerBase`, shared between this
-server and the scatter-gather router in :mod:`repro.serve.router`.
+graceful drain) and the ``/v1/timeline`` request loop live in
+:class:`HttpServerBase`, shared between this server and the
+scatter-gather router in :mod:`repro.serve.router`.
 """
 
 from __future__ import annotations
@@ -49,11 +50,21 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.ingest import IngestPlane, Segment
 from repro.obs.metrics import Metrics
-from repro.runtime import ShardPolicy, ShardResult
 from repro.search.query import (
     SearchQuery,
     candidates_payload,
@@ -61,7 +72,6 @@ from repro.search.query import (
 )
 from repro.search.realtime import RealTimeTimelineSystem, TimelineQuery
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import MicroBatcher
 from repro.serve.cache import (
     ResultCache,
     make_cache_key,
@@ -95,8 +105,6 @@ SERVE_COUNTERS = (
     "serve.not_found",
     "serve.errors",
     "serve.degraded",
-    "serve.batches",
-    "serve.batched_queries",
     "serve.ingest_requests",
     "serve.ingest_rejected",
     "serve.ingest_invalidated_results",
@@ -110,10 +118,7 @@ SERVE_GAUGES = (
     # server itself); exposed on /metrics for cold-start dashboards.
     "serve.warmup_seconds",
 )
-SERVE_HISTOGRAMS = (
-    "serve.request_seconds",
-    "serve.batch_size",
-)
+SERVE_HISTOGRAMS = ("serve.request_seconds",)
 SERVE_METRIC_NAMES = SERVE_COUNTERS + SERVE_GAUGES + SERVE_HISTOGRAMS
 
 _REASONS = {
@@ -146,30 +151,13 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    workers: int = 4
     cache_size: int = 256
     cache_ttl_seconds: float = 300.0
     max_inflight: int = 32
-    batch_window_ms: float = 10.0
-    max_batch_size: int = 32
-    batch_retries: int = 0
     retry_after_seconds: float = 1.0
     drain_timeout_seconds: float = 10.0
     default_num_dates: int = 10
     default_num_sentences: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.batch_retries < 0:
-            raise ValueError(
-                f"batch_retries must be >= 0, got {self.batch_retries}"
-            )
-
 
 class _BadRequest(ValueError):
     """A client error; the message goes verbatim into the 400 body."""
@@ -237,9 +225,14 @@ def _parse_positive_int_field(payload: dict, field: str, default: int) -> int:
     return raw
 
 
+#: The default request window: a zero-argument callable returning the
+#: served index's ``(first, last)`` date, or ``None`` when it is empty.
+DefaultWindow = Callable[[], Optional[Tuple[datetime.date, datetime.date]]]
+
+
 def parse_timeline_payload(
     body: bytes,
-    default_window: Optional[Tuple[datetime.date, datetime.date]],
+    default_window: Optional[DefaultWindow],
     default_num_dates: int,
     default_num_sentences: int,
 ) -> TimelineQuery:
@@ -248,8 +241,11 @@ def parse_timeline_payload(
     Shared by the single-index server (window defaults from its own
     index) and the scatter-gather router (window defaults from the
     topology's overall span) so both fronts accept byte-identical
-    requests. Raises :class:`_BadRequest` -- mapped to a 400 -- on any
-    malformed field.
+    requests. *default_window* is called only when ``start`` or ``end``
+    is missing -- on a live index working out the span walks every
+    sealed segment. Raises :class:`_BadRequest` -- mapped to a 400 -- on
+    any malformed field, or when a window field is missing and there is
+    no default window.
     """
     try:
         payload = json.loads(body.decode("utf-8"))
@@ -269,13 +265,14 @@ def parse_timeline_payload(
     start = _parse_date_field(payload, "start")
     end = _parse_date_field(payload, "end")
     if start is None or end is None:
-        if default_window is None:
+        window = default_window() if default_window is not None else None
+        if window is None:
             raise _BadRequest(
                 "'start'/'end' omitted and the index is empty; "
                 "ingest articles or pass an explicit window"
             )
-        start = start if start is not None else default_window[0]
-        end = end if end is not None else default_window[1]
+        start = start if start is not None else window[0]
+        end = end if end is not None else window[1]
     if start > end:
         raise _BadRequest(f"start {start} must not exceed end {end}")
     num_dates = _parse_positive_int_field(
@@ -291,6 +288,8 @@ def parse_timeline_payload(
         num_dates=num_dates,
         num_sentences=num_sentences,
     )
+
+
 
 
 def parse_search_query(
@@ -403,47 +402,310 @@ def parse_ingest_payload(body: bytes) -> Tuple[List[Article], bool]:
     return articles, sync
 
 
-class HttpServerBase:
-    """Shared asyncio HTTP/1.1 plumbing of the serving tier.
+@dataclass
+class _Computed:
+    """A fresh timeline from a front's compute hook.
 
-    Owns the socket lifecycle (bind, accept loop, graceful shutdown via
-    :meth:`request_shutdown` or signals) and the hand-rolled HTTP
-    parsing/serialisation both servers of the tier use -- the
-    single-index :class:`TimelineServer` and the scatter-gather
-    :class:`~repro.serve.router.TimelineRouter`. Subclasses implement
-    :meth:`handle_request`, may override :attr:`draining` (keep-alive
-    stops while draining) and :meth:`_drain` (awaited once during
-    :meth:`shutdown`), and set :attr:`metric_prefix` so plumbing-level
-    counters (``bad_requests``) land in their own namespace.
+    ``index_version`` goes into the ``miss`` envelope; ``cacheable``
+    says whether the front's store rule may keep the result at all;
+    ``headers`` and ``extras`` are extra response headers and envelope
+    fields (the router's degraded-merge markers).
     """
 
-    #: Namespace for plumbing-emitted counters (``serve`` / ``router``).
-    metric_prefix = "serve"
+    result: dict
+    index_version: int
+    cacheable: bool = True
+    headers: Tuple[Tuple[str, str], ...] = ()
+    extras: Optional[Dict[str, Any]] = None
 
-    def __init__(self, host: str, port: int, metrics: Metrics) -> None:
-        self.metrics = metrics
-        self._host = host
-        self._bind_port = port
+
+_Handler = Callable[[_Request], Awaitable[_Response]]
+
+
+class HttpServerBase:
+    """The serving tier's shared asyncio HTTP/1.1 front.
+
+    Owns the socket lifecycle (bind, accept loop, graceful shutdown via
+    :meth:`request_shutdown` or signals), the hand-rolled HTTP
+    parsing/serialisation, and everything both fronts -- the
+    single-index :class:`TimelineServer` and the scatter-gather
+    :class:`~repro.serve.router.TimelineRouter` -- do alike: the result
+    cache, admission control, the single-flight table, the
+    ``/v1/timeline`` request loop (:meth:`_handle_timeline`), the 429/503
+    rejections, request accounting and the shared ``/metrics`` gauges.
+    Every metric lands under :attr:`metric_prefix`.
+
+    *config* is a :class:`ServeConfig` or a
+    :class:`~repro.serve.router.RouterConfig`; both carry the bind
+    address and the cache, admission, drain and request-default knobs
+    read here. A front supplies the timeline hooks
+    (:meth:`_default_window`, :meth:`_timeline_key`,
+    :meth:`_compute_timeline`, :meth:`_store_timeline`,
+    :meth:`_index_version`), its routes (:meth:`_routes`) and
+    :meth:`_handle_healthz`, and may extend :meth:`_drain` (awaited
+    once during :meth:`shutdown`).
+    """
+
+    #: Namespace of every metric the front emits (``serve`` / ``router``).
+    metric_prefix = "serve"
+    #: What the draining 503 calls this process.
+    noun = "server"
+
+    def __init__(self, config: Any, metrics: Optional[Metrics]) -> None:
+        self.config = config
+        self.metrics = metrics if metrics is not None else Metrics()
+        self.cache = ResultCache(
+            capacity=config.cache_size,
+            ttl_seconds=config.cache_ttl_seconds,
+        )
+        self.admission = AdmissionController(
+            max_inflight=config.max_inflight,
+            retry_after_seconds=config.retry_after_seconds,
+        )
+        # Single-flight table: identical concurrent misses share one
+        # computation (docs/architecture.md "Data plane").
+        self.flights = FlightTable()
+        self._host = config.host
+        self._bind_port = config.port
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown_event: Optional[asyncio.Event] = None
 
-    # -- subclass hooks --------------------------------------------------------
+    # -- front hooks -----------------------------------------------------------
 
-    async def handle_request(self, request: _Request) -> _Response:
+    def _routes(self) -> Mapping[str, Tuple[str, _Handler]]:
+        """``path -> (method, handler)`` beside ``/healthz``/``/metrics``."""
         raise NotImplementedError
+
+    async def _handle_healthz(self) -> _Response:
+        raise NotImplementedError
+
+    def _index_version(self) -> int:
+        """The index revision reported in envelopes and ``/metrics``."""
+        raise NotImplementedError
+
+    def _default_window(
+        self,
+    ) -> Optional[Tuple[datetime.date, datetime.date]]:
+        """The served date span, for requests that omit their window."""
+        raise NotImplementedError
+
+    def _timeline_key(self, query: TimelineQuery) -> Tuple[Hashable, Any]:
+        """``(cache key, store guard)`` for *query* as of now.
+
+        The guard is whatever :meth:`_store_timeline` needs to tell
+        whether a result computed from here on is still current.
+        """
+        raise NotImplementedError
+
+    async def _compute_timeline(
+        self, query: TimelineQuery
+    ) -> Union[_Computed, _Response]:
+        """Generate *query*'s timeline; a :class:`_Response` is a failure."""
+        raise NotImplementedError
+
+    def _store_timeline(self, key: Hashable, guard: Any, result: dict) -> bool:
+        """Cache a cacheable *result*; whether it is still valid."""
+        raise NotImplementedError
+
+    async def _drain(self) -> bool:
+        """Refuse new work, wait for admitted work; the drain verdict."""
+        self.admission.begin_drain()
+        return await self.admission.wait_idle(
+            self.config.drain_timeout_seconds
+        )
 
     @property
     def draining(self) -> bool:
-        """Whether the server is refusing new work (closes keep-alives)."""
-        return False
-
-    async def _drain(self) -> bool:
-        """Finish in-flight work during :meth:`shutdown`; drain verdict."""
-        return True
+        """Whether the front is refusing new work (closes keep-alives)."""
+        return self.admission.draining
 
     def _count(self, name: str) -> None:
         self.metrics.counter(f"{self.metric_prefix}.{name}").inc()
+
+    # -- the shared request path -----------------------------------------------
+
+    async def _handle_timeline(self, request: _Request) -> _Response:
+        """Cache, then single-flight, then admission, then compute + store.
+
+        A cache hit answers at once and bypasses admission. A miss that
+        finds an identical computation in flight follows it and takes
+        the leader's result when it is both ok and valid. Otherwise --
+        a failed or invalidated leader -- the follower re-checks the
+        cache and computes ``solo``: it joins no newer flight, so a
+        failing leader cannot daisy-chain waiters, and a draining front
+        answers it 503 instead of starting late work.
+
+        Order: **admit, then lead.** A request the gate rejects never
+        registers a flight, so no follower can join a computation that
+        will not run.
+
+        The leader's store verdict (:meth:`_store_timeline`) doubles as
+        the flight's validity: followers never reuse a result the
+        front's invalidation rule already discarded.
+        """
+        self._count("timeline_requests")
+        query = parse_timeline_payload(
+            request.body,
+            self._default_window,
+            self.config.default_num_dates,
+            self.config.default_num_sentences,
+        )
+        solo = False
+        while True:
+            key, guard = self._timeline_key(query)
+            cached = self.cache.get(key)
+            if cached is not None:
+                self._count("cache_hits")
+                return self._timeline_response(cached, "hit")
+            if not solo:
+                self._count("cache_misses")
+            flight = self.flights.lookup(key)
+            if flight is None or solo:
+                break
+            self._count("coalesced_requests")
+            await flight.done.wait()
+            if flight.ok and flight.valid:
+                return self._timeline_response(flight.result, "hit")
+            if self.draining:
+                return self._reject()
+            solo = True
+
+        if not self.admission.try_admit():
+            return self._reject()
+        lead = None if solo else self.flights.lead(key)
+        ok = valid = False
+        result: Optional[dict] = None
+        try:
+            try:
+                computed = await self._compute_timeline(query)
+            finally:
+                self.admission.release()
+            if isinstance(computed, _Response):
+                return computed
+            result, ok = computed.result, True
+            valid = computed.cacheable and self._store_timeline(
+                key, guard, result
+            )
+            return self._timeline_response(
+                result,
+                "miss",
+                computed.index_version,
+                computed.headers,
+                computed.extras,
+            )
+        finally:
+            if lead is not None:
+                self.flights.finish(
+                    key, lead, ok=ok, valid=valid, result=result
+                )
+
+    def _timeline_response(
+        self,
+        result: dict,
+        cache_state: str,
+        index_version: Optional[int] = None,
+        headers: Tuple[Tuple[str, str], ...] = (),
+        extras: Optional[Dict[str, Any]] = None,
+    ) -> _Response:
+        envelope: Dict[str, Any] = {
+            "schema": WIRE_SCHEMA,
+            "cache": cache_state,
+            "index_version": (
+                self._index_version() if index_version is None
+                else index_version
+            ),
+            "result": result,
+        }
+        if extras:
+            envelope.update(extras)
+        return _Response(
+            200, canonical_json(envelope), extra_headers=headers
+        )
+
+    def _retry_after(self) -> Tuple[Tuple[str, str], ...]:
+        return (
+            ("Retry-After", f"{self.admission.retry_after_seconds:g}"),
+        )
+
+    def _reject(self) -> _Response:
+        """503 ``draining`` while draining, else 429 ``overloaded``."""
+        if self.draining:
+            self._count("rejected_draining")
+            return _Response(
+                503,
+                canonical_json(
+                    {
+                        "schema": WIRE_SCHEMA,
+                        "error": "draining",
+                        "detail": f"{self.noun} is shutting down",
+                    }
+                ),
+                extra_headers=self._retry_after(),
+            )
+        self._count("shed")
+        return _Response(
+            429,
+            canonical_json(
+                {
+                    "schema": WIRE_SCHEMA,
+                    "error": "overloaded",
+                    "detail": (
+                        f"more than {self.admission.max_inflight} "
+                        "requests in flight"
+                    ),
+                }
+            ),
+            extra_headers=self._retry_after(),
+        )
+
+    def _handle_metrics(self) -> _Response:
+        prefix = self.metric_prefix
+        self.metrics.gauge(f"{prefix}.inflight").set(self.admission.inflight)
+        self.metrics.gauge(f"{prefix}.cache_entries").set(len(self.cache))
+        self.metrics.gauge(f"{prefix}.index_version").set(
+            self._index_version()
+        )
+        self.metrics.gauge(f"{prefix}.draining").set(
+            1.0 if self.draining else 0.0
+        )
+        return _Response(
+            200,
+            self.metrics.render_prometheus().encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    async def _route(self, request: _Request) -> _Response:
+        path, method = request.path, request.method
+        if path == "/healthz" and method == "GET":
+            return await self._handle_healthz()
+        if path == "/metrics" and method == "GET":
+            return self._handle_metrics()
+        route = self._routes().get(path)
+        if route is not None:
+            allowed, handler = route
+            if method != allowed:
+                return error_response(405, f"use {allowed}")
+            return await handler(request)
+        self._count("not_found")
+        return error_response(404, f"no route for {path}")
+
+    async def handle_request(self, request: _Request) -> _Response:
+        """Route one request, mapping failures to 4xx/5xx responses."""
+        self._count("requests")
+        started = time.perf_counter()
+        try:
+            response = await self._route(request)
+        except _BadRequest as exc:
+            self._count("bad_requests")
+            response = error_response(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 -- never drop a connection
+            self._count("errors")
+            response = error_response(500, f"{type(exc).__name__}: {exc}")
+        self.metrics.histogram(
+            f"{self.metric_prefix}.request_seconds"
+        ).observe(time.perf_counter() - started)
+        return response
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -631,10 +893,12 @@ class HttpServerBase:
         return await self.shutdown()
 
 
+
 class TimelineServer(HttpServerBase):
     """The asyncio HTTP front of one :class:`RealTimeTimelineSystem`."""
 
     metric_prefix = "serve"
+    noun = "server"
 
     def __init__(
         self,
@@ -644,26 +908,7 @@ class TimelineServer(HttpServerBase):
         ingest: Optional[IngestPlane] = None,
     ) -> None:
         self.system = system
-        self.config = config or ServeConfig()
-        super().__init__(
-            self.config.host,
-            self.config.port,
-            metrics if metrics is not None else Metrics(),
-        )
-        self.cache = ResultCache(
-            capacity=self.config.cache_size,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            retry_after_seconds=self.config.retry_after_seconds,
-        )
-        self.batcher = MicroBatcher(
-            dispatch=self._dispatch_batch,
-            window_seconds=self.config.batch_window_ms / 1000.0,
-            max_batch_size=self.config.max_batch_size,
-            on_batch=self._record_batch,
-        )
+        super().__init__(config or ServeConfig(), metrics)
         # With an ingest plane attached the result cache switches from
         # version-keyed eviction (every seal strands every entry) to
         # precise day-scoped invalidation: keys carry version 0 and the
@@ -672,9 +917,6 @@ class TimelineServer(HttpServerBase):
         self.ingest = ingest
         if ingest is not None:
             ingest.add_seal_listener(self._on_segment_sealed)
-        # Single-flight table: identical concurrent misses share one
-        # computation (docs/architecture.md "Data plane").
-        self.flights = FlightTable()
         # Fault-injection knob for smoke tests: an artificial
         # per-request delay (milliseconds) that makes this worker look
         # slow without touching any real code path -- CI's hedging
@@ -697,31 +939,12 @@ class TimelineServer(HttpServerBase):
                 "serve.ingest_invalidated_results"
             ).inc(dropped)
 
-    # -- batched generation ----------------------------------------------------
+    # -- timeline hooks --------------------------------------------------------
 
-    def _dispatch_batch(
-        self, queries: List[TimelineQuery]
-    ) -> Sequence[ShardResult]:
-        """Run one micro-batch as a fault-isolated thread-backend sweep."""
-        report = self.system.generate_timelines(
-            queries,
-            policy=ShardPolicy(
-                backend="thread",
-                workers=min(self.config.workers, max(1, len(queries))),
-                retries=self.config.batch_retries,
-            ),
-            metrics=self.metrics,
-        )
-        return report.results
+    def _index_version(self) -> int:
+        return self.system.index_version
 
-    def _record_batch(self, size: int) -> None:
-        self.metrics.counter("serve.batches").inc()
-        self.metrics.counter("serve.batched_queries").inc(size)
-        self.metrics.histogram("serve.batch_size").observe(size)
-
-    # -- request parsing -------------------------------------------------------
-
-    def _index_window(
+    def _default_window(
         self,
     ) -> Optional[Tuple[datetime.date, datetime.date]]:
         dates = self.system.engine.index.dates()
@@ -729,173 +952,67 @@ class TimelineServer(HttpServerBase):
             return None
         return dates[0], dates[-1]
 
+    def _timeline_key(self, query: TimelineQuery) -> Tuple[Hashable, Any]:
+        # Live-ingest mode keys entries under version 0 (the seal
+        # listener evicts precisely) and guards the put with the
+        # cache's invalidation generation, snapshotted before generation
+        # starts. Segments are appended to the overlay *before* the seal
+        # listener sweeps the cache, so any seal that could stale the
+        # upcoming computation either ran its sweep already (the
+        # computation then sees the post-seal view) or will bump the
+        # generation before our put -- which then discards the entry
+        # atomically under the cache lock. No window remains for a
+        # pre-seal result to be cached after its eviction sweep ran.
+        live = self.ingest is not None
+        key = make_cache_key(
+            query.keywords,
+            query.start,
+            query.end,
+            query.num_dates,
+            query.num_sentences,
+            0 if live else self.system.index_version,
+        )
+        return key, self.cache.generation if live else None
+
+    async def _compute_timeline(
+        self, query: TimelineQuery
+    ) -> Union[_Computed, _Response]:
+        index_version = self.system.index_version
+        loop = asyncio.get_running_loop()
+        try:
+            response = await loop.run_in_executor(
+                None, self.system._serve_query, query
+            )
+        except Exception as exc:  # noqa: BLE001 -- degrade this query only
+            self._count("degraded")
+            return _Response(
+                500,
+                canonical_json(
+                    {
+                        "schema": WIRE_SCHEMA,
+                        "error": "degraded",
+                        "detail": f"{type(exc).__name__}: {exc}",
+                    }
+                ),
+            )
+        return _Computed(response.to_dict(), index_version)
+
+    def _store_timeline(self, key: Hashable, guard: Any, result: dict) -> bool:
+        # Under live ingest the put lands only if no invalidation sweep
+        # ran since the guard's generation snapshot, checked inside the
+        # cache lock (a bare version re-check would race the seal
+        # listener firing between check and insert).
+        return self.cache.put(key, result, generation=guard)
+
     # -- route handlers --------------------------------------------------------
 
-    async def _handle_timeline(self, request: _Request) -> _Response:
-        self.metrics.counter("serve.timeline_requests").inc()
-        query = parse_timeline_payload(
-            request.body,
-            default_window=self._index_window(),
-            default_num_dates=self.config.default_num_dates,
-            default_num_sentences=self.config.default_num_sentences,
-        )
-        solo = False
-        while True:
-            index_version = self.system.index_version
-            # Live-ingest mode keys entries under version 0: seals no
-            # longer strand the whole cache, the seal listener evicts
-            # precisely.
-            key = make_cache_key(
-                query.keywords,
-                query.start,
-                query.end,
-                query.num_dates,
-                query.num_sentences,
-                0 if self.ingest is not None else index_version,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.counter("serve.cache_hits").inc()
-                return self._timeline_response(
-                    cached, index_version, "hit"
-                )
-            if not solo:
-                self.metrics.counter("serve.cache_misses").inc()
-            # Live-ingest mode: snapshot the cache's invalidation
-            # generation before generation starts. Segments are appended
-            # to the overlay *before* the seal listener sweeps the
-            # cache, so any seal that could stale the upcoming
-            # computation either ran its sweep already (the computation
-            # then sees the post-seal view) or will bump the generation
-            # before our put -- which then discards the entry atomically
-            # under the cache lock. No window remains for a pre-seal
-            # result to be cached after its eviction sweep ran.
-            generation = (
-                self.cache.generation if self.ingest is not None else None
-            )
-            flight = self.flights.lookup(key)
-            if flight is None or solo:
-                break
-            # Single-flight follower: an identical computation is
-            # already in progress; await its outcome instead of
-            # recomputing.
-            self.metrics.counter("serve.coalesced_requests").inc()
-            await flight.done.wait()
-            if flight.ok and flight.valid:
-                return self._timeline_response(
-                    flight.result, self.system.index_version, "hit"
-                )
-            if self.admission.draining:
-                self.metrics.counter("serve.rejected_draining").inc()
-                return _Response(
-                    503,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "draining",
-                            "detail": "server is shutting down",
-                        }
-                    ),
-                    extra_headers=(
-                        (
-                            "Retry-After",
-                            f"{self.admission.retry_after_seconds:g}",
-                        ),
-                    ),
-                )
-            # The leader failed or its result was invalidated
-            # mid-flight: recompute independently (one more loop pass,
-            # re-checking the cache first) without joining any newer
-            # flight -- a failing leader must not daisy-chain waiters.
-            solo = True
-
-        lead_flight = self.flights.lead(key) if not solo else None
-        ok = valid = False
-        result: Optional[dict] = None
-        try:
-            if not self.admission.try_admit():
-                retry_after = (
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                )
-                if self.admission.draining:
-                    self.metrics.counter("serve.rejected_draining").inc()
-                    return _Response(
-                        503,
-                        canonical_json(
-                            {
-                                "schema": WIRE_SCHEMA,
-                                "error": "draining",
-                                "detail": "server is shutting down",
-                            }
-                        ),
-                        extra_headers=retry_after,
-                    )
-                self.metrics.counter("serve.shed").inc()
-                return _Response(
-                    429,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "overloaded",
-                            "detail": (
-                                f"more than {self.admission.max_inflight} "
-                                "requests in flight"
-                            ),
-                        }
-                    ),
-                    extra_headers=retry_after,
-                )
-            try:
-                shard = await self.batcher.submit(query)
-            finally:
-                self.admission.release()
-
-            if not shard.ok:
-                self.metrics.counter("serve.degraded").inc()
-                return _Response(
-                    500,
-                    canonical_json(
-                        {
-                            "schema": WIRE_SCHEMA,
-                            "error": "degraded",
-                            "detail": shard.error or "query failed",
-                        }
-                    ),
-                )
-            result = shard.value.to_dict()
-            ok = True
-            # Under live ingest the put is generation-guarded: it lands
-            # only if no invalidation sweep ran since the
-            # pre-generation snapshot, checked inside the cache lock (a
-            # bare version re-check would race the seal listener firing
-            # between check and insert). The verdict doubles as the
-            # flight's validity: followers never reuse a result an
-            # invalidation already discarded.
-            valid = self.cache.put(key, result, generation=generation)
-            return self._timeline_response(result, index_version, "miss")
-        finally:
-            if lead_flight is not None:
-                self.flights.finish(
-                    key, lead_flight, ok=ok, valid=valid, result=result
-                )
-
-    def _timeline_response(
-        self, result: dict, index_version: int, cache_state: str
-    ) -> _Response:
-        return _Response(
-            200,
-            canonical_json(
-                {
-                    "schema": WIRE_SCHEMA,
-                    "cache": cache_state,
-                    "index_version": index_version,
-                    "result": result,
-                }
-            ),
-        )
+    def _routes(self) -> Mapping[str, Tuple[str, _Handler]]:
+        return {
+            "/v1/timeline": ("POST", self._handle_timeline),
+            "/v1/ingest": ("POST", self._handle_ingest),
+            "/v1/search": ("GET", self._handle_search),
+            "/v1/shard/search": ("GET", self._handle_shard_search),
+        }
 
     async def _handle_search(self, request: _Request) -> _Response:
         self.metrics.counter("serve.search_requests").inc()
@@ -995,23 +1112,7 @@ class TimelineServer(HttpServerBase):
                 404, "ingest is not enabled on this server"
             )
         if self.draining:
-            self.metrics.counter("serve.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "server is shutting down",
-                    }
-                ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
-            )
+            return self._reject()
         articles, sync = parse_ingest_payload(request.body)
         if sync:
             loop = asyncio.get_running_loop()
@@ -1045,12 +1146,7 @@ class TimelineServer(HttpServerBase):
                         ),
                     }
                 ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
+                extra_headers=self._retry_after(),
             )
         stats = plane.stats()
         return _Response(
@@ -1065,7 +1161,7 @@ class TimelineServer(HttpServerBase):
             ),
         )
 
-    def _handle_healthz(self) -> _Response:
+    async def _handle_healthz(self) -> _Response:
         draining = self.admission.draining
         payload = {
             "schema": WIRE_SCHEMA,
@@ -1081,80 +1177,19 @@ class TimelineServer(HttpServerBase):
         return _Response(503 if draining else 200, canonical_json(payload))
 
     def _handle_metrics(self) -> _Response:
-        self.metrics.gauge("serve.inflight").set(self.admission.inflight)
-        self.metrics.gauge("serve.cache_entries").set(len(self.cache))
-        self.metrics.gauge("serve.index_version").set(
-            self.system.index_version
-        )
-        self.metrics.gauge("serve.draining").set(
-            1.0 if self.admission.draining else 0.0
-        )
         if self.ingest is not None:
             self.ingest.refresh_gauges()
-        return _Response(
-            200,
-            self.metrics.render_prometheus().encode("utf-8"),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _route(self, request: _Request) -> _Response:
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return self._handle_healthz()
-        if path == "/metrics" and method == "GET":
-            return self._handle_metrics()
-        if path == "/v1/timeline":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_timeline(request)
-        if path == "/v1/ingest":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_ingest(request)
-        if path == "/v1/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_search(request)
-        if path == "/v1/shard/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_shard_search(request)
-        self.metrics.counter("serve.not_found").inc()
-        return error_response(404, f"no route for {path}")
+        return super()._handle_metrics()
 
     async def handle_request(self, request: _Request) -> _Response:
-        """Route one request, mapping failures to 4xx/5xx responses."""
-        self.metrics.counter("serve.requests").inc()
         if self._test_delay_seconds:
             await asyncio.sleep(self._test_delay_seconds)
-        started = time.perf_counter()
-        try:
-            response = await self._route(request)
-        except _BadRequest as exc:
-            self.metrics.counter("serve.bad_requests").inc()
-            response = error_response(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 -- never drop a connection
-            self.metrics.counter("serve.errors").inc()
-            response = error_response(500, f"{type(exc).__name__}: {exc}")
-        self.metrics.histogram("serve.request_seconds").observe(
-            time.perf_counter() - started
-        )
-        return response
+        return await super().handle_request(request)
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def draining(self) -> bool:
-        return self.admission.draining
-
     async def _drain(self) -> bool:
-        self.admission.begin_drain()
-        await self.batcher.drain()
-        idle = await self.admission.wait_idle(
-            self.config.drain_timeout_seconds
-        )
+        idle = await super()._drain()
         if self.ingest is not None:
             # Seal everything still queued before the process exits;
             # with a segments directory nothing is lost even on an

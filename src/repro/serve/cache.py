@@ -10,7 +10,8 @@ incremental ``add_article`` silently strands every entry minted against
 the older index -- no flush call, no stale reads.
 
 Thread-safe: the HTTP layer runs on one event loop, but benchmarks and
-the micro-batcher's executor threads may touch the cache concurrently.
+the ingest plane's seal listener (on its writer thread) may touch the
+cache concurrently.
 """
 
 from __future__ import annotations

@@ -61,32 +61,34 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.core.pipeline import Wilson, WilsonConfig
 from repro.obs.metrics import Metrics
 from repro.search.query import SearchQuery
-from repro.serve.admission import AdmissionController, ShardAdmission
+from repro.search.realtime import TimelineQuery
+from repro.serve.admission import ShardAdmission
 from repro.serve.app import (
     WIRE_SCHEMA,
     HttpServerBase,
-    _BadRequest,
-    _Request,
+    _Computed,
+    _Handler,
     _Response,
+    _Request,
     canonical_json,
     error_response,
     parse_ingest_payload,
     parse_search_query,
-    parse_timeline_payload,
 )
-from repro.serve.cache import ResultCache, make_merge_cache_key
-from repro.serve.flight import FlightTable
+from repro.serve.cache import make_merge_cache_key
 from repro.serve.frames import RPC_CONTENT_TYPE, decode_shard_search
 from repro.serve.health import (
     HEALTHY,
@@ -462,6 +464,7 @@ class TimelineRouter(HttpServerBase):
     """
 
     metric_prefix = "router"
+    noun = "router"
 
     def __init__(
         self,
@@ -481,11 +484,7 @@ class TimelineRouter(HttpServerBase):
             )
         self.topology = topology
         self.config = config or RouterConfig()
-        super().__init__(
-            self.config.host,
-            self.config.port,
-            metrics if metrics is not None else Metrics(),
-        )
+        super().__init__(self.config, metrics)
         self.wilson = wilson or Wilson(WilsonConfig())
         self.bm25_params = bm25_params
         #: Per-shard replica endpoint groups, shard-id order.
@@ -519,14 +518,6 @@ class TimelineRouter(HttpServerBase):
             metrics=self.metrics,
         )
         self._probe_task: Optional[asyncio.Task] = None
-        self.cache = ResultCache(
-            capacity=self.config.cache_size,
-            ttl_seconds=self.config.cache_ttl_seconds,
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            retry_after_seconds=self.config.retry_after_seconds,
-        )
         self.shard_admission = ShardAdmission(
             num_shards=topology.num_shards,
             max_inflight_per_shard=self.config.max_inflight_per_shard,
@@ -557,7 +548,6 @@ class TimelineRouter(HttpServerBase):
             if self.config.rpc_format == "binary"
             else ()
         )
-        self.flights = FlightTable()
         #: Rolling per-shard latency samples (successful calls only)
         #: feeding the adaptive hedge delay.
         self._latency_windows: List[Deque[float]] = [
@@ -877,143 +867,82 @@ class TimelineRouter(HttpServerBase):
             {"degraded_shards": sorted(degraded)},
         )
 
-    def _admission_rejection(self) -> _Response:
-        retry_after = (
-            ("Retry-After", f"{self.admission.retry_after_seconds:g}"),
-        )
-        if self.admission.draining:
-            self.metrics.counter("router.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "router is shutting down",
-                    }
-                ),
-                extra_headers=retry_after,
-            )
-        self.metrics.counter("router.shed").inc()
-        return _Response(
-            429,
-            canonical_json(
-                {
-                    "schema": WIRE_SCHEMA,
-                    "error": "overloaded",
-                    "detail": (
-                        f"more than {self.admission.max_inflight} "
-                        "requests in flight"
-                    ),
-                }
-            ),
-            extra_headers=retry_after,
-        )
+    # -- timeline hooks --------------------------------------------------------
 
-    # -- route handlers --------------------------------------------------------
+    def _default_window(
+        self,
+    ) -> Optional[Tuple[datetime.date, datetime.date]]:
+        return self.topology.window()
 
-    async def _handle_timeline(self, request: _Request) -> _Response:
-        self.metrics.counter("router.timeline_requests").inc()
-        query = parse_timeline_payload(
-            request.body,
-            default_window=self.topology.window(),
-            default_num_dates=self.config.default_num_dates,
-            default_num_sentences=self.config.default_num_sentences,
-        )
-        # Single-flight coalescing (repro.serve.flight): identical
-        # concurrent misses share the leader's merge + summarize run.
-        # Followers re-loop on wake so they re-check the cache first; a
-        # follower that finds an unusable flight outcome computes
-        # independently (``solo``) rather than daisy-chaining behind the
-        # next leader.
-        solo = False
-        while True:
-            versions = tuple(self._shard_versions)
-            key = make_merge_cache_key(
+    def _timeline_key(self, query: TimelineQuery) -> Tuple[Hashable, Any]:
+        # The key embeds the per-shard version vector; the same vector
+        # is the store guard, so a result whose shards moved mid-flight
+        # is never handed to followers.
+        versions = tuple(self._shard_versions)
+        return (
+            make_merge_cache_key(
                 query.keywords,
                 query.start,
                 query.end,
                 query.num_dates,
                 query.num_sentences,
                 versions,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.counter("router.cache_hits").inc()
-                return self._timeline_response(
-                    cached, self._index_version(), "hit", ()
-                )
-            if not solo:
-                self.metrics.counter("router.cache_misses").inc()
-            flight = self.flights.lookup(key)
-            if flight is None or solo:
-                break
-            self.metrics.counter("router.coalesced_requests").inc()
-            await flight.done.wait()
-            if flight.ok and flight.valid:
-                return self._timeline_response(
-                    flight.result, self._index_version(), "hit", ()
-                )
-            if self.admission.draining:
-                return self._admission_rejection()
-            solo = True
+            ),
+            versions,
+        )
 
-        if not self.admission.try_admit():
-            return self._admission_rejection()
-        lead_flight = self.flights.lead(key) if not solo else None
-        ok = valid = False
-        try:
-            retrieval_started = time.perf_counter()
-            search_query = SearchQuery(
-                keywords=query.keywords,
-                start=query.start,
-                end=query.end,
-                limit=self.config.fanout_limit,
-            )
-            responses, degraded = await self._fanout(
-                self._shard_search_path(
-                    search_query, self.config.fanout_limit
-                )
-            )
-            if not responses:
-                return error_response(
-                    503, "all shards unavailable; cannot merge"
-                )
-            merged = self._merge(responses, self.config.fanout_limit)
-            dated = [
-                DatedSentence(
-                    date=datetime.date.fromisoformat(hit.payload["date"]),
-                    text=hit.payload["text"],
-                    publication_date=datetime.date.fromisoformat(
-                        hit.payload["publication_date"]
-                    ),
-                    article_id=hit.payload["article_id"],
-                    is_reference=hit.payload["is_reference"],
-                )
-                for hit in merged.hits
-            ]
-            retrieval_seconds = time.perf_counter() - retrieval_started
-
-            # Central reduce: one WILSON run over the merged candidate
-            # pool -- identical inputs to the single-index path, so an
-            # identical timeline comes out.
-            index_version = self._index_version()
-            matrix_cache = getattr(self.wilson, "day_matrix_cache", None)
-            if matrix_cache is not None:
-                matrix_cache.sync_version(index_version)
-            generation_started = time.perf_counter()
-            loop = asyncio.get_running_loop()
-            timeline = await loop.run_in_executor(
-                None,
-                lambda: self.wilson.summarize(
-                    dated,
-                    num_dates=query.num_dates,
-                    num_sentences=query.num_sentences,
-                    query=query.keywords,
+    async def _compute_timeline(
+        self, query: TimelineQuery
+    ) -> Union[_Computed, _Response]:
+        """Scatter retrieval, merge, then one central WILSON run."""
+        retrieval_started = time.perf_counter()
+        search_query = SearchQuery(
+            keywords=query.keywords,
+            start=query.start,
+            end=query.end,
+            limit=self.config.fanout_limit,
+        )
+        responses, degraded = await self._fanout(
+            self._shard_search_path(search_query, self.config.fanout_limit)
+        )
+        if not responses:
+            return error_response(503, "all shards unavailable; cannot merge")
+        merged = self._merge(responses, self.config.fanout_limit)
+        dated = [
+            DatedSentence(
+                date=datetime.date.fromisoformat(hit.payload["date"]),
+                text=hit.payload["text"],
+                publication_date=datetime.date.fromisoformat(
+                    hit.payload["publication_date"]
                 ),
+                article_id=hit.payload["article_id"],
+                is_reference=hit.payload["is_reference"],
             )
-            generation_seconds = time.perf_counter() - generation_started
-            result = {
+            for hit in merged.hits
+        ]
+        retrieval_seconds = time.perf_counter() - retrieval_started
+
+        # Central reduce: one WILSON run over the merged candidate
+        # pool -- identical inputs to the single-index path, so an
+        # identical timeline comes out.
+        matrix_cache = getattr(self.wilson, "day_matrix_cache", None)
+        if matrix_cache is not None:
+            matrix_cache.sync_version(self._index_version())
+        generation_started = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        timeline = await loop.run_in_executor(
+            None,
+            lambda: self.wilson.summarize(
+                dated,
+                num_dates=query.num_dates,
+                num_sentences=query.num_sentences,
+                query=query.keywords,
+            ),
+        )
+        generation_seconds = time.perf_counter() - generation_started
+        headers, extras = self._degraded_extras(degraded)
+        return _Computed(
+            {
                 "timeline": timeline.to_dict(),
                 "num_candidates": len(dated),
                 "telemetry": {
@@ -1023,68 +952,38 @@ class TimelineRouter(HttpServerBase):
                         retrieval_seconds + generation_seconds
                     ),
                 },
-            }
-            ok = True
-            if not degraded:
-                # Only fully healthy merges are cacheable: a degraded
-                # merge is partial data and the key's version tuple
-                # describes the *complete* topology. The flight result
-                # is valid for followers only if no shard version moved
-                # mid-flight -- the version tuple is the router's
-                # generation guard.
-                self.cache.put(
-                    make_merge_cache_key(
-                        query.keywords,
-                        query.start,
-                        query.end,
-                        query.num_dates,
-                        query.num_sentences,
-                        tuple(self._shard_versions),
-                    ),
-                    result,
-                )
-                valid = tuple(self._shard_versions) == versions
-        finally:
-            self.admission.release()
-            if lead_flight is not None:
-                self.flights.finish(
-                    key,
-                    lead_flight,
-                    ok=ok,
-                    valid=valid,
-                    result=result if ok else None,
-                )
-
-        headers, extras = self._degraded_extras(degraded)
-        return self._timeline_response(
-            result, self._index_version(), "miss", headers, extras
+            },
+            self._index_version(),
+            # A degraded merge is partial data and the key's version
+            # vector describes the *complete* topology: never cached.
+            cacheable=not degraded,
+            headers=headers,
+            extras=extras,
         )
 
-    def _timeline_response(
-        self,
-        result: dict,
-        index_version: int,
-        cache_state: str,
-        headers: Tuple[Tuple[str, str], ...],
-        extras: Optional[Dict[str, Any]] = None,
-    ) -> _Response:
-        envelope: Dict[str, Any] = {
-            "schema": WIRE_SCHEMA,
-            "cache": cache_state,
-            "index_version": index_version,
-            "result": result,
+    def _store_timeline(self, key: Hashable, guard: Any, result: dict) -> bool:
+        # The version vector is the router's generation guard: a merge
+        # computed while any shard version moved may predate the move,
+        # so it is neither cached nor handed to followers.
+        if tuple(self._shard_versions) != guard:
+            return False
+        self.cache.put(key, result)
+        return True
+
+    # -- route handlers --------------------------------------------------------
+
+    def _routes(self) -> Mapping[str, Tuple[str, _Handler]]:
+        return {
+            "/v1/timeline": ("POST", self._handle_timeline),
+            "/v1/search": ("GET", self._handle_search),
+            "/v1/ingest": ("POST", self._handle_ingest),
         }
-        if extras:
-            envelope.update(extras)
-        return _Response(
-            200, canonical_json(envelope), extra_headers=headers
-        )
 
     async def _handle_search(self, request: _Request) -> _Response:
         self.metrics.counter("router.search_requests").inc()
         search_query = parse_search_query(request.query)
         if not self.admission.try_admit():
-            return self._admission_rejection()
+            return self._reject()
         try:
             # Shards get the larger fan-out budget so the *global* top
             # ``limit`` is assembled from complete local candidate sets,
@@ -1171,23 +1070,7 @@ class TimelineRouter(HttpServerBase):
         """
         self.metrics.counter("router.ingest_requests").inc()
         if self.draining:
-            self.metrics.counter("router.rejected_draining").inc()
-            return _Response(
-                503,
-                canonical_json(
-                    {
-                        "schema": WIRE_SCHEMA,
-                        "error": "draining",
-                        "detail": "router is shutting down",
-                    }
-                ),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
-            )
+            return self._reject()
         articles, sync = parse_ingest_payload(request.body)
         groups: Dict[int, List[Any]] = {}
         for article in articles:
@@ -1271,12 +1154,7 @@ class TimelineRouter(HttpServerBase):
             return _Response(
                 429,
                 canonical_json(payload),
-                extra_headers=(
-                    (
-                        "Retry-After",
-                        f"{self.admission.retry_after_seconds:g}",
-                    ),
-                ),
+                extra_headers=self._retry_after(),
             )
         return _Response(202, canonical_json(payload))
 
@@ -1389,65 +1267,7 @@ class TimelineRouter(HttpServerBase):
             for key, ok in zip(due, results):
                 self.health.record_probe(key, ok)
 
-    def _handle_metrics(self) -> _Response:
-        self.metrics.gauge("router.inflight").set(self.admission.inflight)
-        self.metrics.gauge("router.cache_entries").set(len(self.cache))
-        self.metrics.gauge("router.index_version").set(
-            self._index_version()
-        )
-        self.metrics.gauge("router.draining").set(
-            1.0 if self.admission.draining else 0.0
-        )
-        return _Response(
-            200,
-            self.metrics.render_prometheus().encode("utf-8"),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    # -- routing ---------------------------------------------------------------
-
-    async def _route(self, request: _Request) -> _Response:
-        path, method = request.path, request.method
-        if path == "/healthz" and method == "GET":
-            return await self._handle_healthz()
-        if path == "/metrics" and method == "GET":
-            return self._handle_metrics()
-        if path == "/v1/timeline":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_timeline(request)
-        if path == "/v1/search":
-            if method != "GET":
-                return error_response(405, "use GET")
-            return await self._handle_search(request)
-        if path == "/v1/ingest":
-            if method != "POST":
-                return error_response(405, "use POST")
-            return await self._handle_ingest(request)
-        self.metrics.counter("router.not_found").inc()
-        return error_response(404, f"no route for {path}")
-
-    async def handle_request(self, request: _Request) -> _Response:
-        self.metrics.counter("router.requests").inc()
-        started = time.perf_counter()
-        try:
-            response = await self._route(request)
-        except _BadRequest as exc:
-            self.metrics.counter("router.bad_requests").inc()
-            response = error_response(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 -- never drop a connection
-            self.metrics.counter("router.errors").inc()
-            response = error_response(500, f"{type(exc).__name__}: {exc}")
-        self.metrics.histogram("router.request_seconds").observe(
-            time.perf_counter() - started
-        )
-        return response
-
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        return self.admission.draining
 
     async def start(self) -> None:
         await super().start()
@@ -1469,11 +1289,8 @@ class TimelineRouter(HttpServerBase):
         return drained
 
     async def _drain(self) -> bool:
-        self.admission.begin_drain()
         self.shard_admission.begin_drain()
-        drained = await self.admission.wait_idle(
-            self.config.drain_timeout_seconds
-        )
+        drained = await super()._drain()
         return (
             await self.shard_admission.wait_idle(
                 self.config.drain_timeout_seconds

@@ -393,7 +393,6 @@ class ShardWorkerPool:
     def __init__(
         self,
         topology: Topology,
-        batch_window_ms: float = 2.0,
         boot_timeout_seconds: float = 60.0,
         extra_args: Sequence[str] = (),
         snapshot_mode: str = "mmap",
@@ -407,7 +406,6 @@ class ShardWorkerPool:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.topology = topology
-        self.batch_window_ms = batch_window_ms
         self.boot_timeout_seconds = boot_timeout_seconds
         self.extra_args = tuple(extra_args)
         #: Restore strategy passed to every worker. ``"mmap"`` (default)
@@ -453,8 +451,6 @@ class ShardWorkerPool:
                         self.snapshot_mode,
                         "--port",
                         "0",
-                        "--batch-window-ms",
-                        str(self.batch_window_ms),
                         *self.extra_args,
                     ]
                     process = subprocess.Popen(

@@ -44,23 +44,21 @@ class TestParser:
         assert args.corpus is None
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.workers == 4
         assert args.cache_size == 256
         assert args.cache_ttl == 300.0
         assert args.max_inflight == 32
-        assert args.batch_window_ms == 10.0
 
     def test_serve_flag_overrides(self):
         args = build_parser().parse_args(
             [
                 "serve", "corpus.jsonl", "--port", "0",
-                "--max-inflight", "4", "--batch-window-ms", "2.5",
+                "--max-inflight", "4", "--cache-size", "8",
             ]
         )
         assert args.corpus == "corpus.jsonl"
         assert args.port == 0
         assert args.max_inflight == 4
-        assert args.batch_window_ms == 2.5
+        assert args.cache_size == 8
 
 
 class TestCommands:

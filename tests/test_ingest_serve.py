@@ -16,10 +16,13 @@ write-path contract of docs/ingest.md:
 * the day-matrix cache survives ingestion for untouched days
   (``prune.day_matrix_hits`` keeps counting);
 * shutdown drains the queued backlog into sealed segments;
+* a request with an explicit window never asks the live index for its
+  date span (``LiveIndex.dates()`` walks every sealed segment);
 * the router fans ingest out to the shard owning each article's
   publication date and merged queries keep working afterwards.
 """
 
+import asyncio
 import http.client
 import json
 
@@ -40,6 +43,7 @@ from repro.serve import (
     canonical_json,
     export_slices,
 )
+from repro.serve.app import _Computed, _Request
 from tests.conftest import d, wait_until
 from tests.test_ingest_plane import (
     QUERY,
@@ -101,7 +105,7 @@ def live_server(tmp_path):
     plane.start()
     server = TimelineServer(
         system,
-        ServeConfig(port=0, batch_window_ms=2.0, workers=2),
+        ServeConfig(port=0),
         metrics=metrics,
         ingest=plane,
     )
@@ -263,7 +267,7 @@ class TestIngestRoute:
         system = RealTimeTimelineSystem()
         system.ingest(make_articles()[:BASE])
         server = TimelineServer(
-            system, ServeConfig(port=0, batch_window_ms=2.0)
+            system, ServeConfig(port=0)
         )
         with BackgroundServer(server) as running:
             status, _, _ = _request(
@@ -280,7 +284,7 @@ class TestIngestRoute:
         plane = IngestPlane(system, IngestConfig(queue_articles=1))
         server = TimelineServer(
             system,
-            ServeConfig(port=0, batch_window_ms=2.0),
+            ServeConfig(port=0),
             ingest=plane,
         )
         with BackgroundServer(server) as running:
@@ -307,7 +311,7 @@ class TestIngestRoute:
         plane = IngestPlane(system, IngestConfig(batch_age_ms=5.0))
         server = TimelineServer(
             system,
-            ServeConfig(port=0, batch_window_ms=2.0),
+            ServeConfig(port=0),
             ingest=plane,
         )
         before = system.index_version
@@ -326,6 +330,55 @@ class TestIngestRoute:
         assert system.index_version > before
         assert plane.queue.depth == 0
         assert plane.queue.closed
+
+
+def _parsed_query(server, payload):
+    """The query *server*'s timeline loop hands its compute hook."""
+    seen = []
+
+    async def compute(query):
+        seen.append(query)
+        return _Computed({"timeline": {}}, server._index_version())
+
+    server._compute_timeline = compute
+    request = _Request(
+        method="POST",
+        path="/v1/timeline",
+        query={},
+        headers={},
+        body=json.dumps(payload).encode(),
+        keep_alive=False,
+    )
+    response = asyncio.run(server._handle_timeline(request))
+    assert response.status == 200, response.body
+    (query,) = seen
+    return query
+
+
+class TestDefaultWindow:
+    @pytest.fixture()
+    def live(self):
+        system = RealTimeTimelineSystem()
+        system.ingest(make_articles()[:BASE])
+        plane = IngestPlane(system, IngestConfig())
+        return TimelineServer(system, ServeConfig(port=0), ingest=plane)
+
+    def test_explicit_window_never_walks_the_index_dates(
+        self, live, monkeypatch
+    ):
+        def spy():
+            raise AssertionError("dates() called for an explicit window")
+
+        monkeypatch.setattr(live.system.engine.index, "dates", spy)
+        query = _parsed_query(live, _timeline_payload())
+        assert (query.start, query.end) == WINDOW
+
+    def test_omitted_window_defaults_to_the_index_span(self, live):
+        dates = live.system.engine.index.dates()
+        payload = _timeline_payload()
+        del payload["start"], payload["end"]
+        query = _parsed_query(live, payload)
+        assert (query.start, query.end) == (dates[0], dates[-1])
 
 
 class TestPreciseInvalidation:
@@ -417,7 +470,7 @@ class TestRouterIngestFanOut:
             plane = IngestPlane(system)
             server = TimelineServer(
                 system,
-                ServeConfig(port=0, batch_window_ms=2.0),
+                ServeConfig(port=0),
                 ingest=plane,
             )
             context = BackgroundServer(server)
@@ -505,7 +558,7 @@ class TestRouterIngestFanOut:
                 RealTimeTimelineSystem(
                     engine=engine, wilson=wilson, cache=wilson.cache
                 ),
-                ServeConfig(port=0, batch_window_ms=2.0),
+                ServeConfig(port=0),
             )
             context = BackgroundServer(server)
             running = context.__enter__()

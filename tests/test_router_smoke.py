@@ -30,7 +30,7 @@ def sharded_process():
         [
             sys.executable, "-m", "repro", "serve",
             "--shards", "2", "--port", "0",
-            "--scale", "0.02", "--batch-window-ms", "2",
+            "--scale", "0.02",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

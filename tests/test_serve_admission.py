@@ -1,13 +1,11 @@
-"""Admission control and micro-batching: the serve-layer backpressure."""
+"""Admission control: the serve-layer backpressure."""
 
 import asyncio
 import threading
-import time
 
 import pytest
 
 from repro.serve.admission import AdmissionController
-from repro.serve.batching import MicroBatcher
 
 
 class TestAdmissionController:
@@ -94,123 +92,3 @@ class TestAdmissionController:
         for t in threads:
             t.join()
         assert max(peak) <= 5
-
-
-class TestMicroBatcher:
-    def test_concurrent_submissions_share_a_batch(self):
-        batches = []
-
-        def dispatch(items):
-            batches.append(list(items))
-            return [item * 10 for item in items]
-
-        async def scenario():
-            batcher = MicroBatcher(dispatch, window_seconds=0.05)
-            results = await asyncio.gather(
-                batcher.submit(1), batcher.submit(2), batcher.submit(3)
-            )
-            return results
-
-        assert asyncio.run(scenario()) == [10, 20, 30]
-        assert batches == [[1, 2, 3]]
-
-    def test_max_batch_size_flushes_early(self):
-        batches = []
-
-        def dispatch(items):
-            batches.append(list(items))
-            return list(items)
-
-        async def scenario():
-            # A long window that would otherwise stall; the size cap
-            # must flush without waiting for it.
-            batcher = MicroBatcher(
-                dispatch, window_seconds=30.0, max_batch_size=2
-            )
-            started = time.perf_counter()
-            await asyncio.gather(batcher.submit("a"), batcher.submit("b"))
-            return time.perf_counter() - started
-
-        elapsed = asyncio.run(scenario())
-        assert elapsed < 5.0
-        assert batches == [["a", "b"]]
-
-    def test_sequential_submissions_get_separate_batches(self):
-        batches = []
-
-        def dispatch(items):
-            batches.append(list(items))
-            return list(items)
-
-        async def scenario():
-            batcher = MicroBatcher(dispatch, window_seconds=0.001)
-            await batcher.submit(1)
-            await batcher.submit(2)
-
-        asyncio.run(scenario())
-        assert batches == [[1], [2]]
-        assert len(batches) == 2
-
-    def test_dispatch_exception_fails_all_waiters(self):
-        def dispatch(items):
-            raise RuntimeError("sweep machinery broke")
-
-        async def scenario():
-            batcher = MicroBatcher(dispatch, window_seconds=0.01)
-            results = await asyncio.gather(
-                batcher.submit(1), batcher.submit(2),
-                return_exceptions=True,
-            )
-            return results
-
-        results = asyncio.run(scenario())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_result_count_mismatch_is_an_error(self):
-        def dispatch(items):
-            return items[:-1]
-
-        async def scenario():
-            batcher = MicroBatcher(dispatch, window_seconds=0.01)
-            with pytest.raises(RuntimeError, match="results"):
-                await batcher.submit(1)
-
-        asyncio.run(scenario())
-
-    def test_drain_flushes_pending(self):
-        dispatched = []
-
-        def dispatch(items):
-            dispatched.extend(items)
-            return list(items)
-
-        async def scenario():
-            batcher = MicroBatcher(dispatch, window_seconds=60.0)
-            submission = asyncio.ensure_future(batcher.submit("x"))
-            await asyncio.sleep(0)  # let submit() enqueue
-            await batcher.drain()
-            return await submission
-
-        assert asyncio.run(scenario()) == "x"
-        assert dispatched == ["x"]
-
-    def test_on_batch_observer(self):
-        sizes = []
-
-        async def scenario():
-            batcher = MicroBatcher(
-                lambda items: list(items),
-                window_seconds=0.01,
-                on_batch=sizes.append,
-            )
-            await asyncio.gather(batcher.submit(1), batcher.submit(2))
-            assert batcher.batches_dispatched == 1
-
-        asyncio.run(scenario())
-        assert sizes == [2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, window_seconds=-1)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, max_batch_size=0)

@@ -7,7 +7,7 @@ Drives a real :class:`~repro.serve.TimelineServer` over actual sockets
   library call, on both the cold and the cache-hit path;
 * the wire schema cannot drift silently (exact key sets);
 * admission control sheds with 429 + ``Retry-After`` and drains with 503;
-* a poisoned query degrades its own response, not its batchmates';
+* a poisoned query degrades its own response, not a concurrent one;
 * the ``serve.*`` telemetry stays inside the documented name registry.
 """
 
@@ -42,7 +42,7 @@ def system(instance):
 
 @pytest.fixture()
 def server(system):
-    config = ServeConfig(port=0, batch_window_ms=2.0, workers=2)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as running:
         yield running
 
@@ -301,9 +301,7 @@ class TestFaultIsolation:
                 raise RuntimeError("poisoned query")
             return original(query)
 
-        config = ServeConfig(
-            port=0, batch_window_ms=50.0, workers=2, batch_retries=0
-        )
+        config = ServeConfig(port=0)
         system._serve_query = poisoned
         try:
             with BackgroundServer(TimelineServer(system, config)) as server:
@@ -344,7 +342,7 @@ class TestTelemetryRegistry:
     def test_emitted_serve_metrics_stay_in_the_registry(
         self, system, instance
     ):
-        config = ServeConfig(port=0, batch_window_ms=2.0)
+        config = ServeConfig(port=0)
         with BackgroundServer(TimelineServer(system, config)) as server:
             _request(server, "POST", "/v1/timeline", {"keywords": []})
             _request(
@@ -383,7 +381,6 @@ class TestTelemetryRegistry:
             "serve.bad_requests",
             "serve.not_found",
             "serve.search_requests",
-            "serve.batches",
         ):
             assert snapshot["counters"][name] >= 1, name
         assert snapshot["histograms"]["serve.request_seconds"]["count"] >= 5
@@ -396,7 +393,7 @@ class TestTelemetryRegistry:
 
 class TestGracefulShutdown:
     def test_background_server_drains_cleanly(self, system, instance):
-        config = ServeConfig(port=0, batch_window_ms=2.0)
+        config = ServeConfig(port=0)
         harness = BackgroundServer(TimelineServer(system, config))
         server = harness.__enter__()
         status, _, _ = _request(

@@ -116,7 +116,7 @@ class TestNegotiation:
     def server(self, instance):
         system = RealTimeTimelineSystem()
         system.ingest(instance.corpus.articles)
-        config = ServeConfig(port=0, batch_window_ms=2.0, workers=2)
+        config = ServeConfig(port=0)
         with BackgroundServer(TimelineServer(system, config)) as running:
             yield running
 

@@ -58,7 +58,7 @@ def _replica_server(slice_path, delay_seconds=0.0):
         RealTimeTimelineSystem(
             engine=engine, wilson=wilson, cache=wilson.cache
         ),
-        ServeConfig(port=0, batch_window_ms=2.0),
+        ServeConfig(port=0),
     )
     # The WILSON_SERVE_TEST_DELAY_MS knob, set directly: both replicas
     # share this process's environment.
@@ -82,7 +82,7 @@ def uneven_fleet(topology):
 
 @pytest.fixture()
 def single_server(system):
-    config = ServeConfig(port=0, batch_window_ms=2.0, workers=2)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as running:
         yield running
 

@@ -78,7 +78,7 @@ def _shard_system(slice_path):
 def _replica_server(slice_path, port=0):
     return TimelineServer(
         _shard_system(slice_path),
-        ServeConfig(port=port, batch_window_ms=2.0),
+        ServeConfig(port=port),
     )
 
 
@@ -101,7 +101,7 @@ def replica_fleet(topology):
 
 @pytest.fixture()
 def single_server(system):
-    config = ServeConfig(port=0, batch_window_ms=2.0, workers=2)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as running:
         yield running
 

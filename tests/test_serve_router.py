@@ -84,7 +84,7 @@ def shard_servers(topology):
         context = BackgroundServer(
             TimelineServer(
                 _shard_system(shard.path),
-                ServeConfig(port=0, batch_window_ms=2.0),
+                ServeConfig(port=0),
             )
         )
         servers.append(context.__enter__())
@@ -96,7 +96,7 @@ def shard_servers(topology):
 
 @pytest.fixture()
 def single_server(system):
-    config = ServeConfig(port=0, batch_window_ms=2.0, workers=2)
+    config = ServeConfig(port=0)
     with BackgroundServer(TimelineServer(system, config)) as running:
         yield running
 

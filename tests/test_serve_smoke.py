@@ -26,7 +26,7 @@ def server_process():
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--scale", "0.02", "--batch-window-ms", "2",
+            "--port", "0", "--scale", "0.02",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
